@@ -90,6 +90,43 @@ def _scatter_windows(
     return padded[:, :, ph : ph + h, pw : pw + w]
 
 
+def _col2im(
+    grad_cols: np.ndarray,
+    in_shape: tuple[int, int, int, int],
+    kh: int,
+    kw: int,
+    sh: int,
+    sw: int,
+    ph: int,
+    pw: int,
+    oh: int,
+    ow: int,
+) -> np.ndarray:
+    """Input gradient from the position-major patch-matrix gradient.
+
+    ``grad_cols`` is ``(N*OH*OW, C*kh*kw)``, laid out like the forward's
+    column matrix.  Scatter-adds in channels-last layout, whose rows are
+    contiguous in both operands, one kernel offset at a time in the same
+    ``(ki, kj)`` order as :func:`_scatter_windows` — so every element
+    sums the same terms in the same order — then lays the result out
+    exactly as :func:`_scatter_windows` returns it (NCHW, a view into
+    the padded buffer when padded): bit-identical, with no 6-D
+    transpose of the column gradient first.
+    """
+    n, c, h, w = in_shape
+    grad6 = grad_cols.reshape(n, oh, ow, c, kh, kw)
+    channels_last = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=grad_cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            channels_last[
+                :, i : i + sh * oh : sh, j : j + sw * ow : sw
+            ] += grad6[:, :, :, :, i, j]
+    padded = np.ascontiguousarray(channels_last.transpose(0, 3, 1, 2))
+    if ph == 0 and pw == 0:
+        return padded
+    return padded[:, :, ph : ph + h, pw : pw + w]
+
+
 class _Conv2d(Function):
     """2-D cross-correlation (the deep-learning "convolution").
 
@@ -188,10 +225,7 @@ class _Conv2d(Function):
             grad_cols = np.einsum("pgo,gok->pgk", grad3, w_mat).reshape(
                 n * oh * ow, c * kh * kw
             )
-        grad_windows = grad_cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        grad_x = _scatter_windows(
-            np.ascontiguousarray(grad_windows), self.in_shape, kh, kw, sh, sw, ph, pw
-        )
+        grad_x = _col2im(grad_cols, self.in_shape, kh, kw, sh, sw, ph, pw, oh, ow)
         if self.has_bias:
             grad_bias = grad_mat.sum(axis=0)
             return grad_x, grad_weight, grad_bias

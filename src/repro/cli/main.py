@@ -1442,7 +1442,8 @@ def build_parser() -> argparse.ArgumentParser:
             "replica-batched evaluation: schedule trials in N-lane groups "
             "that share each batch's clean forward (bit-identical results; "
             "default auto picks a group width when the evaluator supports "
-            "it; 'off' forces the per-trial path)"
+            "it; 'off' runs width-1 groups, each trial a literal "
+            "inject + evaluate)"
         ),
     )
     _add_preset_arguments(c)

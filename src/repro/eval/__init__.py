@@ -20,7 +20,9 @@ from repro.core import post_training as _post_training
 
 
 def _compiled_clean_accuracy(model, eval_loader):
-    return Evaluator(eval_loader, runtime=True).bind(model)
+    from repro.runtime import RuntimeConfig
+
+    return Evaluator(eval_loader, config=RuntimeConfig(enabled=True)).bind(model)
 
 
 # Dependency inversion across the layer DAG: core's bound post-training

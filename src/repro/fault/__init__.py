@@ -37,7 +37,6 @@ from repro.fault.parallel import (
     TrialExecutor,
     TrialGroup,
     TrialOutcome,
-    TrialRunner,
     TrialWork,
     available_workers,
     make_executor,
@@ -85,7 +84,6 @@ __all__ = [
     "TrialExecutor",
     "TrialGroup",
     "TrialOutcome",
-    "TrialRunner",
     "TrialWork",
     "WordFaultModel",
     "accuracy_drop",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -27,7 +28,6 @@ from repro.fault.parallel import (
     GroupTrialRunner,
     TrialExecutor,
     TrialOutcome,
-    TrialRunner,
     TrialWork,
     group_works,
     make_executor,
@@ -273,9 +273,11 @@ class FaultCampaign:
         (:meth:`repro.eval.BoundAccuracy.lane_accuracies`).  ``"auto"``
         picks a default group width when the hook is present and falls
         back to per-trial execution when it is not;
-        ``None``/``"off"``/``0``/``1`` forces the per-trial path.
-        Either way results are bit-identical — grouping is purely a
-        scheduling decision.
+        ``None``/``"off"``/``0``/``1`` forces per-trial execution:
+        width-1 groups on the literal path, each trial one
+        ``injector.inject(sites)`` around one ``evaluate()`` call, with
+        the hook never called.  Either way results are bit-identical —
+        grouping is purely a scheduling decision.
     """
 
     def __init__(
@@ -300,16 +302,15 @@ class FaultCampaign:
         self.executor = make_executor(workers, start_method=start_method)
         # One runner for the campaign's lifetime: process pools key their
         # worker state on it, so a sweep reuses one pool across rates.
-        self._runner = TrialRunner(injector, evaluate)
-        self._group_runner = (
-            GroupTrialRunner(injector, evaluate) if self.replicas else None
+        self._runner = GroupTrialRunner(
+            injector, evaluate, width=max(1, self.replicas)
         )
 
     @staticmethod
     def _resolved_replicas(
         replicas: int | str | None, evaluate: Callable[[], float]
     ) -> int:
-        """Resolve the ``replicas`` knob to a group width (0 = per-trial)."""
+        """Resolve the ``replicas`` knob to a replica width (0 = per-trial)."""
         if replicas is None or replicas == "off":
             return 0
         has_hook = callable(getattr(evaluate, "lane_accuracies", None))
@@ -388,9 +389,16 @@ class FaultCampaign:
         — never on scheduling — so any executor reproduces the serial
         fault patterns exactly.
         """
+        return self._seeds(fault_model, tag, range(self.trials))
+
+    def _seeds(
+        self, fault_model: FaultModel, tag: str, indices: Sequence[int]
+    ) -> list[int]:
+        """The :meth:`trial_seeds` entries of exactly ``indices``."""
+        description = fault_model.describe()
         return [
-            derive_seed(self.seed, "trial", tag, fault_model.describe(), trial)
-            for trial in range(self.trials)
+            derive_seed(self.seed, "trial", tag, description, trial)
+            for trial in indices
         ]
 
     def _site_metadata(self, sites) -> list[tuple[int, int]]:
@@ -411,35 +419,17 @@ class FaultCampaign:
         """Sample fault sites for exactly ``indices``, in the parent.
 
         Each trial's seed is independent, so any subset — a resume's
-        missing tail, a coord worker's claimed range — skips the
-        fault-space-sized sampling of every other trial, and workers
-        only ever see concrete site arrays: fault models (with their
-        possibly unpicklable ``param_filter``s) never cross a process
-        boundary.
+        missing tail, a coord worker's claimed range — skips the seed
+        derivation and fault-space-sized sampling of every other trial,
+        and workers only ever see concrete site arrays: fault models
+        (with their possibly unpicklable ``param_filter``s) never cross
+        a process boundary.
         """
-        seeds = self.trial_seeds(fault_model, tag)
+        seeds = self._seeds(fault_model, tag, indices)
         return [
-            TrialWork(
-                index=trial,
-                sites=self.injector.sample(fault_model, rng=seeds[trial]),
-            )
-            for trial in indices
+            TrialWork(index=trial, sites=self.injector.sample(fault_model, rng=seed))
+            for trial, seed in zip(indices, seeds)
         ]
-
-    def _dispatch(self, pending: Sequence[TrialWork]) -> Iterator[TrialOutcome]:
-        """Hand works to the executor, streaming outcomes in index order.
-
-        The replica-batched path groups consecutive works into lanes of
-        one shared-forward evaluation; the flattened stream keeps trial
-        order, so consumers (journal, early stop, aggregation) are
-        oblivious — and bit-identical to the per-trial stream.
-        """
-        if not pending:
-            return iter(())
-        if self._group_runner is not None:
-            groups = group_works(pending, self.replicas)
-            return self.executor.run_groups(self._group_runner, groups)
-        return self.executor.run_trials(self._runner, pending)
 
     def iter_range(
         self,
@@ -449,18 +439,21 @@ class FaultCampaign:
     ) -> Iterator[tuple[TrialOutcome, list[tuple[int, int]]]]:
         """Evaluate exactly ``indices`` of one configuration, streaming.
 
-        The coordination layer's entry point (:mod:`repro.coord`): a
-        worker that claimed a dynamic trial range evaluates just that
+        The single dispatch path: :meth:`run` layers replay, budget and
+        early stop on top of it, and the coordination layer
+        (:mod:`repro.coord`) calls it directly for each claimed trial
         range.  Yields ``(outcome, sites)`` pairs in ascending trial
         order — ``sites`` being the journal-ready applied-site metadata
-        :meth:`run` records — with duplicates collapsed.  Trial seeds
-        depend only on the trial index, never on scheduling, so any
-        partition of the trial space (static shards, stolen ranges, a
-        serial run) produces bit-identical per-trial results.
+        — with duplicates collapsed.  Trial seeds depend only on the
+        trial index, never on scheduling, so any partition of the trial
+        space (static shards, stolen ranges, a serial run) produces
+        bit-identical per-trial results.
 
-        Closing the generator early (a lost fence check, a worker
-        shutting down) closes the executor stream, which terminates any
-        speculative pooled work.
+        Exhausting the generator steps the executor stream past its
+        last outcome, so a pooled executor stays warm for the next
+        call.  Closing it early (an early stop, a lost fence check, a
+        worker shutting down) closes the executor stream, which
+        terminates any speculative pooled work.
         """
         plan = sorted({int(trial) for trial in indices})
         if plan and not 0 <= plan[0] <= plan[-1] < self.trials:
@@ -469,21 +462,19 @@ class FaultCampaign:
                 f"got {plan[0]}..{plan[-1]}"
             )
         pending = self._sampled_works(fault_model, tag, plan)
-        outcomes = self._dispatch(pending)
+        groups = group_works(pending, self._runner.width)
+        outcomes = self.executor.run_groups(self._runner, groups)
         try:
-            for work in pending:
-                outcome = next(outcomes)
+            # strict: a stream longer or shorter than the works is an
+            # executor fault, and the final length check steps the
+            # stream to its normal end.
+            for work, outcome in zip(pending, outcomes, strict=True):
                 if outcome.index != work.index:
                     raise ConfigurationError(
                         f"executor yielded trial {outcome.index} where "
                         f"{work.index} was scheduled"
                     )
                 yield outcome, self._site_metadata(work.sites)
-            sentinel = object()
-            if next(outcomes, sentinel) is not sentinel:
-                raise ConfigurationError(
-                    "executor yielded more outcomes than scheduled works"
-                )
         finally:
             close = getattr(outcomes, "close", None)
             if close is not None:
@@ -504,14 +495,16 @@ class FaultCampaign:
         stop after the same trial with identical results.
 
         With ``store``, every fresh outcome is journaled to disk as it
-        completes (both executors stream through this loop), and trials
-        the store already holds are *replayed* from the journal instead
-        of re-evaluated — an interrupted campaign resumed against its
-        store is bit-identical to an uninterrupted run, because trial
-        seeds are schedule-independent and journaled floats round-trip
-        exactly.  A configuration the store marks as EarlyStop-converged
-        is never re-opened: its journaled trials are replayed and the
-        same converged result returned without any evaluation.
+        completes, and trials the store already holds are *replayed*
+        from the journal instead of re-evaluated — an interrupted
+        campaign resumed against its store is bit-identical to an
+        uninterrupted run, because trial seeds are schedule-independent
+        and journaled floats round-trip exactly.  A configuration the
+        store marks as EarlyStop-converged is never re-opened: its
+        journaled trials are replayed and the same converged result
+        returned without any evaluation.
+
+        Fresh trials are evaluated through :meth:`iter_range` only.
         """
         with span("campaign.config", tag=tag, trials=self.trials):
             return self._run(fault_model, tag, early_stop, store)
@@ -546,41 +539,28 @@ class FaultCampaign:
                         f"{len(absent)} of them"
                     )
         missing = [trial for trial in plan if trial not in journal]
-        budget: int | None = None
         if store is not None:
             # Don't evaluate what the budget forbids journaling: cap the
-            # dispatched works so a pooled executor never burns cores on
+            # evaluated trials so a pooled executor never burns cores on
             # over-budget speculative trials, and raise *before* the
             # first un-journalable evaluation instead of after it.
             budget = store.remaining_budget()
             if budget is not None:
                 missing = missing[:budget]
-        pending = self._sampled_works(fault_model, tag, missing)
-        works = {work.index: work for work in pending}
         aggregator = CampaignAggregator()
-        outcomes = self._dispatch(pending)
-        stopped_early = False
-        try:
-            fresh = 0
+        with closing(self.iter_range(fault_model, missing, tag)) as fresh:
             for position, trial in enumerate(plan):
                 outcome = journal.get(trial)
                 if outcome is None:
-                    if budget is not None and fresh >= budget:
+                    evaluated = next(fresh, None)
+                    if evaluated is None:
                         raise CampaignInterrupted(
                             f"store reached its new-trial budget before "
                             f"trial {trial}; resume to continue"
                         )
-                    outcome = next(outcomes)
-                    fresh += 1
-                    if outcome.index != trial:
-                        raise ConfigurationError(
-                            f"executor yielded trial {outcome.index} where "
-                            f"{trial} was scheduled"
-                        )
+                    outcome, sites = evaluated
                     if store is not None and key is not None:
-                        store.record(
-                            key, outcome, self._site_metadata(works[trial].sites)
-                        )
+                        store.record(key, outcome, sites)
                 if outcome.index != position:
                     # Sharded plans skip indices; the aggregator consumes
                     # a dense stream, so renumber to the slice position.
@@ -597,21 +577,11 @@ class FaultCampaign:
                         self.trials,
                         early_stop.ci_halfwidth,
                     )
-                    stopped_early = True
                     break
-            if not stopped_early and pending:
-                # Step the stream past its last yield so the executor
-                # observes normal completion (a pooled executor would
-                # otherwise terminate its still-warm worker pool).
-                sentinel = object()
-                if next(outcomes, sentinel) is not sentinel:
-                    raise ConfigurationError(
-                        "executor yielded more outcomes than scheduled works"
-                    )
-        finally:
-            close = getattr(outcomes, "close", None)
-            if close is not None:
-                close()
+            else:
+                # Exhaust the stream so the executor observes normal
+                # completion and a pooled executor stays warm.
+                next(fresh, None)
         result = aggregator.result(fault_model)
         _logger.info("campaign %s %s", tag, result.summary())
         return result

@@ -2,15 +2,19 @@
 
 A campaign is an embarrassingly parallel workload: every trial is fully
 determined by its seed-derived fault sites, and evaluates the model
-under those faults independently of every other trial.  This module
+under those faults independently of every other trial.  Trials travel
+in groups of consecutive indices (:class:`TrialGroup`), evaluated by
+the one work function :class:`GroupTrialRunner`: a width-1 group is the
+literal per-trial evaluation (inject, evaluate, restore), a wider group
+shares each batch's clean forward across its lanes.  This module
 provides the executor abstraction :class:`FaultCampaign` schedules
-trials through:
+groups through:
 
 - :class:`SerialExecutor` — the in-process loop (the historic behaviour);
 - :class:`ProcessExecutor` — a ``multiprocessing`` worker pool that ships
   the read-only campaign state (the injector's quantised parameter
   words, the materialised evaluation batches) to each worker once, then
-  streams small per-trial messages in chunks.  The pool persists across
+  streams small per-group messages in chunks.  The pool persists across
   ``run()`` calls, so a full fault-rate sweep pays the worker start-up
   cost once.
 
@@ -56,7 +60,6 @@ __all__ = [
     "TrialExecutor",
     "TrialGroup",
     "TrialOutcome",
-    "TrialRunner",
     "TrialWork",
     "available_workers",
     "default_start_method",
@@ -98,50 +101,17 @@ class TrialOutcome:
     seconds: float = field(default=0.0, compare=False)
 
 
-class TrialRunner:
-    """The picklable per-trial work function shared by all backends.
-
-    Bundles the injector and the evaluation callable — the read-only
-    campaign state — into one object, so a worker pool receives it in a
-    single initializer payload (pickle preserves the
-    injector-module/evaluator-model aliasing across that payload) and
-    can keep serving trials for every fault configuration the campaign
-    runs.
-    """
-
-    __slots__ = ("injector", "evaluate")
-
-    def __init__(
-        self, injector: "FaultInjector", evaluate: Callable[[], float]
-    ) -> None:
-        self.injector = injector
-        self.evaluate = evaluate
-
-    def __call__(self, work: TrialWork) -> TrialOutcome:
-        with span("campaign.trial", trial=work.index):
-            started = time.perf_counter()
-            with self.injector.inject(work.sites) as count:
-                accuracy = float(self.evaluate())
-            seconds = time.perf_counter() - started
-        return TrialOutcome(
-            index=work.index,
-            accuracy=accuracy,
-            flips=int(count),
-            seconds=seconds,
-        )
-
-
 def group_works(works: "Sequence[TrialWork]", width: int) -> list["TrialGroup"]:
-    """Pack an ordered work list into replica groups of ``width`` lanes.
+    """Pack an ordered work list into groups of ``width`` lanes.
 
     The single grouping policy shared by every dispatch path (full runs,
     resumes, and the coord layer's dynamic ranges): consecutive works
     become lanes of one group, the last group holding the remainder.
-    Grouping is scheduling only — outcomes stream back flattened in the
-    original order, bit-identical to per-trial execution.
+    Width 1 is the per-trial schedule.  Grouping is scheduling only —
+    outcomes stream back flattened in the original order.
     """
-    if width < 2:
-        raise ConfigurationError(f"replica group width must be >= 2, got {width}")
+    if width < 1:
+        raise ConfigurationError(f"trial group width must be >= 1, got {width}")
     return [
         TrialGroup(works=tuple(works[at : at + width]))
         for at in range(0, len(works), width)
@@ -150,44 +120,68 @@ def group_works(works: "Sequence[TrialWork]", width: int) -> list["TrialGroup"]:
 
 @dataclass(frozen=True)
 class TrialGroup:
-    """A replica group: consecutive trials evaluated as lanes of one pass.
+    """Consecutive trials evaluated by one runner call.
 
-    Groups carry ordinary :class:`TrialWork` units — the same sites the
-    per-trial path would inject — so grouping is purely a scheduling
+    Groups carry ordinary :class:`TrialWork` units — the same sites
+    every schedule injects — so grouping is purely a scheduling
     decision; lane outcomes are attributed back to the original trial
-    indices and must be bit-identical to the ungrouped evaluation.
+    indices and must be bit-identical to the per-trial evaluation.
     """
 
     works: tuple[TrialWork, ...]
 
 
 class GroupTrialRunner:
-    """Picklable work function evaluating one replica group per call.
+    """The picklable work function shared by all backends.
 
-    Requires an evaluation callable exposing
+    Bundles the injector and the evaluation callable — the read-only
+    campaign state — into one object, so a worker pool receives it in a
+    single initializer payload (pickle preserves the
+    injector-module/evaluator-model aliasing across that payload) and
+    can keep serving groups for every fault configuration the campaign
+    runs.
+
+    ``width`` is the campaign's group width.  Width 1 is the literal
+    per-trial path: each lane is ``injector.inject(sites)`` around one
+    ``evaluate()`` call, the flip count taken from ``inject`` — the
+    reference every other schedule is compared against.  Width ``>= 2``
+    requires an evaluation callable exposing
     ``lane_accuracies(injector, site_sets)`` — the replicated-evaluation
     hook (:meth:`repro.eval.BoundAccuracy.lane_accuracies`), which
     shares each batch's clean forward across the group's lanes and
     returns one accuracy per site set, in order, bit-identical to the
-    per-trial path.
+    literal path.  The path follows the campaign's width, not a group's
+    length: the one-lane tail group of a replica campaign still reuses
+    the campaign-wide cached clean prefix instead of a full forward.
     """
 
-    __slots__ = ("injector", "evaluate")
+    __slots__ = ("injector", "evaluate", "width")
 
-    def __init__(self, injector: "FaultInjector", evaluate: object) -> None:
+    def __init__(
+        self, injector: "FaultInjector", evaluate: Callable[[], float], width: int = 1
+    ) -> None:
         self.injector = injector
         self.evaluate = evaluate
+        self.width = width
 
     def __call__(self, group: TrialGroup) -> tuple[TrialOutcome, ...]:
         works = group.works
         with span("campaign.group", trials=len(works)):
             # Group wall time split evenly over lanes: shared work has no
-            # per-trial attribution.  Like TrialRunner's raw reads above,
-            # kept obs-free so pickled workers need no obs import.
+            # per-trial attribution.  Raw clock reads: the duration feeds
+            # only TrialOutcome.seconds, which is outside result identity.
             started = time.perf_counter()  # repro-lint: disable=RPL009
-            accuracies = self.evaluate.lane_accuracies(
-                self.injector, [work.sites for work in works]
-            )
+            if self.width == 1:
+                accuracies, flips = [], []
+                for work in works:
+                    with self.injector.inject(work.sites) as count:
+                        accuracies.append(self.evaluate())
+                    flips.append(count)
+            else:
+                accuracies = self.evaluate.lane_accuracies(
+                    self.injector, [work.sites for work in works]
+                )
+                flips = [len(work.sites) for work in works]
             seconds = time.perf_counter() - started  # repro-lint: disable=RPL009
         if len(accuracies) != len(works):  # pragma: no cover - defensive
             raise ConfigurationError(
@@ -199,15 +193,15 @@ class GroupTrialRunner:
             TrialOutcome(
                 index=work.index,
                 accuracy=float(accuracy),
-                flips=len(work.sites),
+                flips=int(count),
                 seconds=per_lane,
             )
-            for work, accuracy in zip(works, accuracies)
+            for work, accuracy, count in zip(works, accuracies, flips)
         )
 
 
 class TrialExecutor:
-    """Strategy interface: run trials, yield outcomes in trial-index order.
+    """Strategy interface: run trial groups, yield outcomes in index order.
 
     Implementations must yield :class:`TrialOutcome`s ordered by
     ``work.index`` so streaming consumers (incremental aggregation,
@@ -219,21 +213,15 @@ class TrialExecutor:
     #: Worker processes backing this executor (0 = in-process).
     workers: int = 0
 
-    def run_trials(
-        self, runner: TrialRunner, works: Iterable[TrialWork]
-    ) -> Iterator[TrialOutcome]:
-        raise NotImplementedError
-
     def run_groups(
         self, runner: GroupTrialRunner, groups: Iterable[TrialGroup]
     ) -> Iterator[TrialOutcome]:
-        """Run replica groups, yielding a flat trial-index-ordered stream.
+        """Run trial groups, yielding a flat trial-index-ordered stream.
 
         Groups hold consecutive trial indices and outcomes stream back
-        flattened in that order, so consumers are oblivious to grouping
-        — the journal/early-stop/aggregation loop is byte-identical to
-        :meth:`run_trials`.  The default evaluates groups in the calling
-        process (correct for any backend); pooled executors override it.
+        flattened in that order, so consumers are oblivious to grouping.
+        The default evaluates groups in the calling process (correct for
+        any backend); pooled executors override it.
         """
         for group in groups:
             yield from runner(group)
@@ -246,15 +234,9 @@ class TrialExecutor:
 
 
 class SerialExecutor(TrialExecutor):
-    """Run every trial in the calling process (the historic behaviour)."""
+    """Run every group in the calling process (the historic behaviour)."""
 
     workers = 0
-
-    def run_trials(
-        self, runner: TrialRunner, works: Iterable[TrialWork]
-    ) -> Iterator[TrialOutcome]:
-        for work in works:
-            yield runner(work)
 
     def describe(self) -> str:
         return "serial"
@@ -273,30 +255,24 @@ def default_start_method() -> str:
 
 # Worker-global campaign state, installed once per worker by the pool
 # initializer (inherited via fork, or unpickled once under spawn).
-_WORKER_RUNNER: TrialRunner | GroupTrialRunner | None = None
+_WORKER_RUNNER: GroupTrialRunner | None = None
 
 
-def _initialize_worker(runner: TrialRunner | GroupTrialRunner) -> None:
+def _initialize_worker(runner: GroupTrialRunner) -> None:
     global _WORKER_RUNNER
     _WORKER_RUNNER = runner
 
 
-def _execute_trial(work: TrialWork) -> TrialOutcome:
-    if not isinstance(_WORKER_RUNNER, TrialRunner):  # pragma: no cover - defensive
-        raise ConfigurationError("worker pool was not initialised with a trial runner")
-    return _WORKER_RUNNER(work)
-
-
 def _execute_group(group: TrialGroup) -> tuple[TrialOutcome, ...]:
-    if not isinstance(_WORKER_RUNNER, GroupTrialRunner):  # pragma: no cover
-        raise ConfigurationError("worker pool was not initialised with a group runner")
+    if _WORKER_RUNNER is None:  # pragma: no cover - defensive
+        raise ConfigurationError("worker pool was not initialised with a runner")
     return _WORKER_RUNNER(group)
 
 
 class ProcessExecutor(TrialExecutor):
-    """Run trials on a persistent ``multiprocessing`` pool.
+    """Run trial groups on a persistent ``multiprocessing`` pool.
 
-    The pool is created lazily on the first ``run_trials`` call and
+    The pool is created lazily on the first ``run_groups`` call and
     reused for every later call with the same runner — a fault-rate
     sweep amortises worker start-up over all of its campaigns.  Call
     :meth:`shutdown` (or use the owning campaign as a context manager)
@@ -312,9 +288,9 @@ class ProcessExecutor(TrialExecutor):
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default picks
         :func:`default_start_method`.
     chunk_size:
-        Trials handed to a worker per scheduling round.  Default
+        Groups handed to a worker per scheduling round.  Default
         balances scheduling overhead against tail latency:
-        ``max(1, trials // (workers * 4))``.
+        ``max(1, groups // (workers * 4))``.
     """
 
     def __init__(
@@ -341,14 +317,14 @@ class ProcessExecutor(TrialExecutor):
         self.start_method = start_method
         self.chunk_size = chunk_size
         self._pool: "Pool | None" = None
-        self._pool_runner: TrialRunner | GroupTrialRunner | None = None
+        self._pool_runner: GroupTrialRunner | None = None
 
-    def _resolve_chunk(self, n_trials: int) -> int:
+    def _resolve_chunk(self, n_groups: int) -> int:
         if self.chunk_size is not None:
             return self.chunk_size
-        return max(1, n_trials // (self.workers * 4))
+        return max(1, n_groups // (self.workers * 4))
 
-    def _ensure_pool(self, runner: TrialRunner | GroupTrialRunner) -> "Pool":
+    def _ensure_pool(self, runner: GroupTrialRunner) -> "Pool":
         if self._pool is not None and self._pool_runner is runner:
             return self._pool
         self.shutdown()
@@ -363,29 +339,6 @@ class ProcessExecutor(TrialExecutor):
         self._pool_runner = runner
         return self._pool
 
-    def run_trials(
-        self, runner: TrialRunner, works: Iterable[TrialWork]
-    ) -> Iterator[TrialOutcome]:
-        works = list(works)
-        if not works:
-            return
-        pool = self._ensure_pool(runner)
-        completed = 0
-        try:
-            # Ordered imap: outcomes stream back in trial-index order
-            # even when later trials finish first on another worker.
-            for outcome in pool.imap(
-                _execute_trial, works, chunksize=self._resolve_chunk(len(works))
-            ):
-                yield outcome
-                completed += 1
-        finally:
-            if completed < len(works):
-                # Abandoned mid-stream (early stop, worker error): kill
-                # the speculative trials instead of letting them occupy
-                # the pool; the next run lazily restarts it.
-                self.shutdown(terminate=True)
-
     def run_groups(
         self, runner: GroupTrialRunner, groups: Iterable[TrialGroup]
     ) -> Iterator[TrialOutcome]:
@@ -395,8 +348,9 @@ class ProcessExecutor(TrialExecutor):
         pool = self._ensure_pool(runner)
         completed = 0
         try:
-            # Same ordered imap as run_trials, one replica group per
-            # message; lane outcomes flatten back in trial-index order.
+            # Ordered imap, one group per message: outcomes stream back
+            # in trial-index order even when later groups finish first
+            # on another worker.
             for outcomes in pool.imap(
                 _execute_group, groups, chunksize=self._resolve_chunk(len(groups))
             ):
@@ -404,6 +358,9 @@ class ProcessExecutor(TrialExecutor):
                 completed += 1
         finally:
             if completed < len(groups):
+                # Abandoned mid-stream (early stop, worker error): kill
+                # the speculative groups instead of letting them occupy
+                # the pool; the next run lazily restarts it.
                 self.shutdown(terminate=True)
 
     def shutdown(self, terminate: bool = False) -> None:

@@ -87,6 +87,38 @@ class TestConvGradients:
         )
 
 
+
+class TestPatchMatrix:
+    """The channels-last col2im sums exactly what the window scatter it
+    replaces sums, in the same order, and returns the same layout."""
+
+    CASES = [
+        # (x shape, kernel, stride, padding)
+        ((2, 3, 7, 6), (3, 3), (1, 1), (1, 1)),
+        ((3, 4, 8, 9), (3, 2), (2, 1), (0, 1)),
+        ((1, 5, 6, 6), (1, 1), (1, 1), (0, 0)),
+        ((2, 2, 11, 10), (5, 5), (2, 2), (2, 2)),
+        ((2, 4, 6, 6), (3, 3), (3, 3), (0, 0)),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,kernel,stride,padding", CASES)
+    def test_col2im_matches_window_scatter(self, shape, kernel, stride, padding, dtype):
+        from repro.autograd.ops_conv import _col2im, _out_size, _scatter_windows
+
+        n, c, h, w = shape
+        (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+        oh, ow = _out_size(h, kh, sh, ph), _out_size(w, kw, sw, pw)
+        grad_cols = _data((n * oh * ow, c * kh * kw), 3).astype(dtype)
+        windows = grad_cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+        expected = _scatter_windows(
+            np.ascontiguousarray(windows), shape, kh, kw, sh, sw, ph, pw
+        )
+        grad_x = _col2im(grad_cols, shape, kh, kw, sh, sw, ph, pw, oh, ow)
+        assert grad_x.shape == expected.shape
+        assert grad_x.strides == expected.strides
+        assert grad_x.tobytes() == expected.tobytes()
+
 class TestPooling:
     def test_max_pool_forward(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)

@@ -13,14 +13,18 @@ from repro.fault import (
     EarlyStop,
     FaultCampaign,
     FaultInjector,
+    GroupTrialRunner,
     ProcessExecutor,
     SerialExecutor,
+    TrialGroup,
     TrialOutcome,
-    TrialRunner,
     TrialWork,
     make_executor,
 )
+from repro.fault.parallel import group_works
 from repro.quant import quantize_module
+from repro.runtime import RuntimeConfig
+from repro.store import CampaignStore, config_key
 
 
 def _model():
@@ -48,12 +52,19 @@ class _ParamHealth:
         return 1.0 - bad / total
 
 
-def _campaign(workers=0, trials=8, seed=0, **kwargs):
+class _LaneRefusing(_ParamHealth):
+    """Exposes the lane hook, and fails any trial that calls it."""
+
+    def lane_accuracies(self, injector, site_sets):
+        raise AssertionError("lane_accuracies called on the per-trial path")
+
+
+def _campaign(workers=0, trials=8, seed=0, evaluate=_ParamHealth, **kwargs):
     model = _model()
     injector = FaultInjector(model)
     return FaultCampaign(
         injector,
-        _ParamHealth(model),
+        evaluate(model),
         trials=trials,
         seed=seed,
         workers=workers,
@@ -171,7 +182,7 @@ class TestParallelDeterminism:
                     batch_size=64,
                     transform=Normalize(SYNTH_MEAN, SYNTH_STD),
                 ),
-                runtime=True,
+                config=RuntimeConfig(enabled=True),
             )
             # A clean-accuracy pass first, as `repro evaluate --runtime`
             # does: compiles (and registers) a plan on the model in the
@@ -232,10 +243,81 @@ class TestPoolLifecycle:
         np.testing.assert_array_equal(full.accuracies[:2], result.accuracies)
         campaign.close()
 
+    def test_store_replay_interleaves_on_a_warm_pool(self, tmp_path):
+        """Journaled trials replay between fresh ones in index order,
+        and a store-backed sweep keeps the pool it started with."""
+        rates = (1e-3, 5e-3)
+        reference = _campaign(workers=0, seed=3).run_sweep(rates, tag="i")
+        campaign = _campaign(workers=2, seed=3)
+        with CampaignStore.for_campaign(tmp_path / "s", campaign) as store:
+            keys = store.register_configs(
+                [BitFlipFaultModel.at_rate(rate) for rate in rates], tag="i"
+            )
+            seeding = _campaign(workers=0, seed=3)
+            for rate, key in zip(rates, keys):
+                model = BitFlipFaultModel.at_rate(rate)
+                for outcome, sites in seeding.iter_range(model, [0, 2, 5], tag="i"):
+                    store.record(key, outcome, sites)
+            campaign.run(BitFlipFaultModel.exact(1))
+            pool = campaign.executor._pool
+            assert pool is not None
+            swept = campaign.run_sweep(rates, tag="i", store=store)
+            assert campaign.executor._pool is pool
+            assert store.appended == 6 + len(rates) * 5
+            for rate, key in zip(rates, keys):
+                assert sorted(store.journaled(key)) == list(range(8))
+                np.testing.assert_array_equal(
+                    reference[rate].accuracies, swept[rate].accuracies
+                )
+                np.testing.assert_array_equal(
+                    reference[rate].flip_counts, swept[rate].flip_counts
+                )
+        campaign.close()
+
+    def test_early_stop_with_store_marks_converged_and_discards_pool(
+        self, tmp_path
+    ):
+        spec = BitFlipFaultModel.exact(1)
+        campaign = _campaign(workers=2, trials=10)
+        with CampaignStore.for_campaign(tmp_path / "s", campaign) as store:
+            result = campaign.run(
+                spec,
+                early_stop=EarlyStop(ci_halfwidth=1.0, min_trials=2),
+                store=store,
+            )
+            assert store.converged_at(config_key("", spec.describe())) == 2
+        assert result.trials == 2
+        assert campaign.executor._pool is None
+        campaign.close()
+
     def test_serial_close_is_noop(self):
         campaign = _campaign(workers=0, trials=2)
         campaign.run(BitFlipFaultModel.exact(1))
         campaign.close()
+
+
+class TestPerTrialPath:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_replicas_off_never_calls_lane_accuracies(self, workers):
+        spec = BitFlipFaultModel.at_rate(5e-3)
+        reference = _campaign(seed=7).run(spec)
+        with _campaign(
+            workers=workers, seed=7, evaluate=_LaneRefusing, replicas="off"
+        ) as campaign:
+            result = campaign.run(spec)
+        np.testing.assert_array_equal(reference.accuracies, result.accuracies)
+        np.testing.assert_array_equal(reference.flip_counts, result.flip_counts)
+
+    def test_the_lane_hook_is_called_when_grouping(self):
+        """Control for the test above: the refusing hook is reachable."""
+        with pytest.raises(AssertionError, match="per-trial path"):
+            _campaign(evaluate=_LaneRefusing, replicas=2).run(
+                BitFlipFaultModel.exact(1)
+            )
+
+    def test_group_width_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            group_works([], 0)
 
 
 class TestEarlyStop:
@@ -304,17 +386,24 @@ class TestAggregator:
 
 
 class TestWorkerTransport:
-    def test_trial_runner_pickle_roundtrip(self):
+    def test_width_one_group_runner_pickle_roundtrip(self):
         """The spawn payload: one pickle, shared model reference intact."""
         model = _model()
         injector = FaultInjector(model)
-        runner = TrialRunner(injector, _ParamHealth(model))
+        runner = GroupTrialRunner(injector, _ParamHealth(model))
         clone = pickle.loads(pickle.dumps(runner))
         assert clone.evaluate.model is clone.injector.module
-        work = TrialWork(
-            index=0, sites=injector.sample(BitFlipFaultModel.exact(5), rng=42)
+        assert clone.width == 1
+        group = TrialGroup(
+            works=(
+                TrialWork(
+                    index=0, sites=injector.sample(BitFlipFaultModel.exact(5), rng=42)
+                ),
+            )
         )
-        assert runner(work) == clone(work)
+        assert runner(group) == clone(group)
+        (outcome,) = clone(group)
+        assert outcome.index == 0 and outcome.flips == 5
 
     def test_active_injector_refuses_pickle(self):
         injector = FaultInjector(_model())

@@ -21,6 +21,7 @@ from repro.eval.evaluator import Evaluator
 from repro.fault import AUTO_REPLICAS, BitFlipFaultModel, FaultCampaign, FaultInjector
 from repro.models.registry import build_model
 from repro.quant import quantize_module
+from repro.runtime import RuntimeConfig
 
 ARCHS = ["lenet", "alexnet", "resnet18", "resnet50"]
 SPEC = BitFlipFaultModel.at_rate(3e-6)
@@ -37,7 +38,7 @@ def _campaign(name, replicas, trials=6, quantize=True, scale=None):
     )
     evaluator = Evaluator(
         DataLoader(dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)),
-        runtime=True,
+        config=RuntimeConfig(enabled=True),
     )
     return FaultCampaign(
         FaultInjector(model),
@@ -127,7 +128,7 @@ def test_lane_accuracies_matches_inject_loop_directly():
     )
     evaluator = Evaluator(
         DataLoader(dataset, batch_size=32, transform=Normalize(SYNTH_MEAN, SYNTH_STD)),
-        runtime=True,
+        config=RuntimeConfig(enabled=True),
     )
     injector = FaultInjector(model)
     site_sets = [injector.sample(BitFlipFaultModel.exact(2), rng=lane) for lane in range(3)]

@@ -21,6 +21,7 @@ from repro.eval.evaluator import Evaluator
 from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector
 from repro.models.registry import build_model
 from repro.quant import quantize_module
+from repro.runtime import RuntimeConfig
 from repro.store import CampaignInterrupted, CampaignStore, build_atlas
 from repro.store.encoding import exact_json_dumps
 
@@ -37,7 +38,7 @@ def make_campaign(replicas="off", workers=0, trials=8, shard=None):
     )
     evaluator = Evaluator(
         DataLoader(dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)),
-        runtime=True,
+        config=RuntimeConfig(enabled=True),
     )
     return FaultCampaign(
         FaultInjector(model),
